@@ -25,7 +25,9 @@
  * a `*_mapped` variant under address translation, so the micro-TLB is
  * on the measured path, not just the predecode cache. A Machine is
  * constructed once per case and re-loaded per run so the numbers
- * measure stepping, not 4 MB memory construction.
+ * measure stepping alone: not machine set-up (a few microseconds,
+ * since memory and predecode payloads are demand-zero pages) and not
+ * the first-touch page faults and decode misses of a fresh machine.
  */
 #include <benchmark/benchmark.h>
 

@@ -831,7 +831,7 @@ Parser::run()
         }
         ++addr;
     }
-    return unit_;
+    return std::move(unit_); // run() is the parser's last use
 }
 
 } // namespace

@@ -43,6 +43,8 @@ link(const Unit &unit)
 
     // Pass 2: resolve targets and encode.
     addr = unit.origin;
+    prog.words.reserve(unit.items.size());
+    prog.image.reserve(unit.items.size());
     for (const Item &item : unit.items) {
         if (item.is_data) {
             uint32_t value = item.data_value;

@@ -1,5 +1,7 @@
 #include "fuzz/differ.h"
 
+#include <algorithm>
+
 #include "asm/assembler.h"
 #include "obs/catalog.h"
 #include "sim/machine.h"
@@ -92,8 +94,12 @@ runPascalDifferential(pipeline::Session &session,
     spec.cost_model = options.cost_parity;
     spec.value_range = options.value_range;
 
+    // Configs that differ only past the front end share one compile
+    // artifact, and the functional machine is deterministic: baseline
+    // each distinct artifact once. Every baselined artifact produced
+    // `expected`, or the program has already failed.
     std::string expected;
-    bool have_expected = false;
+    std::vector<pipeline::CompileRef> baselined;
 
     for (const FuzzConfig &config :
          withBugs(pascalMatrix(), options.bugs)) {
@@ -116,31 +122,35 @@ runPascalDifferential(pipeline::Session &session,
 
         // CC baseline: this config's *legal* code on the interlocked
         // functional machine defines the expected observable output.
-        auto legal = assembler::link(compile.value()->legal_unit);
-        if (!legal.ok()) {
-            frontEnd(&result, "link-legal", legal.error().str());
-            return result;
-        }
-        sim::FunctionalRun base =
-            sim::runFunctional(legal.value(), options.max_cycles);
-        if (base.reason != sim::StopReason::HALT) {
-            fail(&result, config.tag, "cc-baseline",
-                 "functional machine did not halt");
-            return result;
-        }
-        const std::string &base_console =
-            base.memory->consoleOutput();
-        if (!have_expected) {
-            expected = base_console;
-            have_expected = true;
-        } else if (base_console != expected) {
-            // Layout and lowering must not change semantics.
-            fail(&result, config.tag, "cc-baseline",
-                 strprintf("output diverged across configs "
-                           "(\"%s\" vs \"%s\")",
-                           consolePreview(expected).c_str(),
-                           consolePreview(base_console).c_str()));
-            return result;
+        const pipeline::CompileRef &compiled = compile.value();
+        if (std::find(baselined.begin(), baselined.end(), compiled) ==
+            baselined.end()) {
+            auto legal = assembler::link(compiled->legal_unit);
+            if (!legal.ok()) {
+                frontEnd(&result, "link-legal", legal.error().str());
+                return result;
+            }
+            sim::FunctionalRun base =
+                sim::runFunctional(legal.value(), options.max_cycles);
+            if (base.reason != sim::StopReason::HALT) {
+                fail(&result, config.tag, "cc-baseline",
+                     "functional machine did not halt");
+                return result;
+            }
+            const std::string &base_console =
+                base.memory->consoleOutput();
+            if (baselined.empty()) {
+                expected = base_console;
+            } else if (base_console != expected) {
+                // Layout and lowering must not change semantics.
+                fail(&result, config.tag, "cc-baseline",
+                     strprintf("output diverged across configs "
+                               "(\"%s\" vs \"%s\")",
+                               consolePreview(expected).c_str(),
+                               consolePreview(base_console).c_str()));
+                return result;
+            }
+            baselined.push_back(compiled);
         }
 
         if (spec.hazard_verify) {

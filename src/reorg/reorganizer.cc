@@ -245,6 +245,8 @@ class BlockScheduler
         : block_(block), opts_(opts), stats_(stats)
     {}
 
+    /** Schedule a reorderable block; the caller passes untouchable
+     *  (.noreorder and data) blocks through itself. */
     std::vector<Item> run();
 
   private:
@@ -522,10 +524,6 @@ BlockScheduler::fillSlotsByMoving(Dag &dag, int term_id, int nslots)
 std::vector<Item>
 BlockScheduler::run()
 {
-    // Untouchable blocks pass through verbatim.
-    if (block_.no_reorder || block_.is_data)
-        return block_.items;
-
     const Item *term = block_.terminator();
 
     if (!opts_.reorder) {
@@ -761,10 +759,15 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
     // Per-block scheduling (covers scheme 1 when filling is enabled).
     std::vector<Block> scheduled;
     scheduled.reserve(blocks.size());
-    for (const Block &b : blocks) {
-        Block out = b;
-        out.items = BlockScheduler(b, opts, &result.stats).run();
-        scheduled.push_back(std::move(out));
+    // `blocks` is not read after this loop, so it is moved from.
+    for (Block &b : blocks) {
+        // Untouchable blocks pass through verbatim.
+        std::vector<Item> items =
+            b.no_reorder || b.is_data
+                ? std::move(b.items)
+                : BlockScheduler(b, opts, &result.stats).run();
+        scheduled.push_back({std::move(items), std::move(b.labels),
+                             b.no_reorder, b.is_data});
     }
 
     if (opts.fill_delay) {
@@ -799,6 +802,10 @@ reorganize(const Unit &legal, const ReorgOptions &opts)
     Unit &out = result.unit;
     out.origin = legal.origin;
     out.trailing_labels = legal.trailing_labels;
+    size_t words = 0;
+    for (const Block &b : scheduled)
+        words += b.items.size();
+    out.items.reserve(words);
     for (Block &b : scheduled) {
         if (b.items.empty()) {
             // Emptied by hoisting; it had no labels by construction.

@@ -1,5 +1,7 @@
 #include "sim/cpu.h"
 
+#include <type_traits>
+
 #include "isa/disasm.h"
 #include "isa/encoding.h"
 #include "support/logging.h"
@@ -12,11 +14,22 @@ using isa::MemMode;
 using isa::Reg;
 
 Cpu::Cpu(PhysMemory &memory, MappingUnit &mapping)
-    : mem_(memory), map_(mapping)
+    : mem_(memory), map_(mapping), decode_tags_(kDecodeCacheSize, kNoTag),
+      decode_payloads_(std::make_unique_for_overwrite<unsigned char[]>(
+          kDecodeCacheSize * (sizeof(HotEntry) + sizeof(DecodeEntry)))),
+      decode_hot_(reinterpret_cast<HotEntry *>(decode_payloads_.get())),
+      decode_cache_(
+          reinterpret_cast<DecodeEntry *>(decode_hot_ + kDecodeCacheSize))
 {
-    decode_tags_.assign(kDecodeCacheSize, kNoTag);
-    decode_hot_.assign(kDecodeCacheSize, HotEntry{}); // K_GENERIC
-    decode_cache_.assign(kDecodeCacheSize, DecodeEntry{});
+    // The payloads live in raw storage and are only ever assigned,
+    // never constructed or destroyed.
+    static_assert(std::is_trivially_copyable_v<HotEntry> &&
+                  std::is_trivially_destructible_v<HotEntry>);
+    static_assert(std::is_trivially_copyable_v<DecodeEntry> &&
+                  std::is_trivially_destructible_v<DecodeEntry>);
+    static_assert(alignof(HotEntry) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__ &&
+                  kDecodeCacheSize * sizeof(HotEntry) %
+                          alignof(DecodeEntry) == 0);
     // Any store that changes memory contents — our own, another bus
     // master's, or a host-side poke/loadImage — must drop the stale
     // predecoded entry, or self-modifying code would run old words.
@@ -177,8 +190,7 @@ __attribute__((noinline)) void
 Cpu::recordExec(uint32_t pc)
 {
     if (pc < kProfileDenseLimit) {
-        if (pc >= exec_dense_.size())
-            exec_dense_.resize(((pc >> kPageBits) + 1) << kPageBits, 0);
+        exec_dense_.resize(((pc >> kPageBits) + 1) << kPageBits, 0);
         ++exec_dense_[pc];
     } else {
         ++exec_sparse_[pc];
@@ -351,8 +363,12 @@ Cpu::stepInner()
         --shadow_;
 
     ++stats_.cycles;
-    if (profiling_)
-        recordExec(cur);
+    if (profiling_) {
+        if (cur < exec_dense_.size()) [[likely]]
+            ++exec_dense_[cur];
+        else
+            recordExec(cur);
+    }
 
     auto commitPendingLoad = [this] {
         if (load_pending_) {

@@ -49,6 +49,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -187,9 +188,11 @@ class Cpu
     // --- Profiling ------------------------------------------------------
 
     /** Record per-PC execution counts (used by the reference-pattern
-     *  experiments); off by default. Counts are dense per-page arrays,
-     *  not a hash map, so profiled runs stay fast. */
+     *  experiments); off by default. Counts below kProfileDenseLimit
+     *  are one dense array grown a page at a time, not a hash map, so
+     *  profiled runs stay fast; wild PCs above it go to a hash map. */
     void enableProfiling(bool on) { profiling_ = on; }
+    static constexpr uint32_t kProfileDenseLimit = 1u << 22;
 
     /** Times the instruction at `pc` issued since the last reset(). */
     uint64_t execCount(uint32_t pc) const;
@@ -242,7 +245,9 @@ class Cpu
 
     StopReason simError(std::string message);
 
-    /** Bump the execution count for `pc` (profiling enabled). */
+    /** Profiling slow path for a `pc` past the dense array (the
+     *  in-range increment is inline in stepInner): grow the array to
+     *  cover pc's page, or count a wild pc in the sparse map. */
     void recordExec(uint32_t pc);
 
     /** Compute the execution shape (Kind) of a decoded word. */
@@ -280,7 +285,6 @@ class Cpu
 
     // Profiling state: dense counters for the PCs real programs use,
     // with a hash-map overflow for pathological (wild-jump) addresses.
-    static constexpr uint32_t kProfileDenseLimit = 1u << 22;
     bool profiling_ = false;
     std::vector<uint64_t> exec_dense_;
     std::unordered_map<uint32_t, uint64_t> exec_sparse_;
@@ -380,10 +384,14 @@ class Cpu
      *  L1-resident, so the per-fetch probe and the per-store
      *  invalidation check never touch the big payload array unless
      *  they actually hit. decode_tags_[i] owns the validity of
-     *  decode_cache_[i]. */
+     *  decode_hot_[i] and decode_cache_[i]: fillDecodeSlot writes
+     *  both in full before it sets the tag, so only the tags are
+     *  initialised. The ~420 KB of payloads are one uninitialised
+     *  allocation, touched only in the slots a program's code reaches. */
     std::vector<uint32_t> decode_tags_;
-    std::vector<HotEntry> decode_hot_;
-    std::vector<DecodeEntry> decode_cache_;
+    std::unique_ptr<unsigned char[]> decode_payloads_;
+    HotEntry *decode_hot_;
+    DecodeEntry *decode_cache_;
     uint64_t decode_hits_ = 0;
     uint64_t decode_misses_ = 0;
     isa::Instruction slow_inst_; ///< decode target when not caching

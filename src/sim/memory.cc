@@ -1,12 +1,36 @@
 #include "sim/memory.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+
 #include "support/logging.h"
 
 namespace mips::sim {
 
-PhysMemory::PhysMemory(uint32_t size_words)
-    : size_words_(size_words), words_(size_words, 0)
+PhysMemory::PhysMemory(uint32_t size_words) : size_words_(size_words)
 {
+    static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    size_t bytes = size_t{size_words} * sizeof(uint32_t);
+    size_t body = (bytes + page - 1) / page * page;
+    mapping_bytes_ = body + page;
+    mapping_ = mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mapping_ == MAP_FAILED)
+        support::panic("PhysMemory: cannot map %zu bytes: %s",
+                       mapping_bytes_, std::strerror(errno));
+    char *guard = static_cast<char *>(mapping_) + body;
+    if (mprotect(guard, page, PROT_NONE) != 0)
+        support::panic("PhysMemory: cannot protect the guard page: %s",
+                       std::strerror(errno));
+    words_ = reinterpret_cast<uint32_t *>(guard - bytes);
+}
+
+PhysMemory::~PhysMemory()
+{
+    munmap(mapping_, mapping_bytes_);
 }
 
 void

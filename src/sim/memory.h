@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -20,7 +21,9 @@
 
 namespace mips::sim {
 
-/** Default physical memory size in words (4 MB). */
+/** Default physical memory size in words (4 MB). This is address
+ *  space, not a resident cost: PhysMemory maps it demand-zero, so a
+ *  machine is resident only in the pages its run actually touches. */
 constexpr uint32_t kDefaultPhysWords = 1u << 20;
 
 /** First word of the MMIO window (within the default size). */
@@ -44,11 +47,25 @@ enum class MmioReg : uint32_t
 
 /**
  * Physical memory plus devices. Word granularity only.
+ *
+ * The words are one anonymous private mapping: the kernel hands out a
+ * zero page on first touch, so building a memory costs the same
+ * whatever its size, a fresh memory reads all zeros, and a run is
+ * resident only in the pages it reaches. One PROT_NONE guard page
+ * follows the words, which end flush against it, so an unchecked
+ * ram()/ramWrite() one word past the end faults (AddressSanitizer
+ * does not instrument raw mappings). A failed mapping panics with its
+ * size. Non-copyable: it owns the mapping, and the CPU holds a
+ * reference to it and shares its tag array with it.
  */
 class PhysMemory
 {
   public:
     explicit PhysMemory(uint32_t size_words = kDefaultPhysWords);
+    ~PhysMemory();
+
+    PhysMemory(const PhysMemory &) = delete;
+    PhysMemory &operator=(const PhysMemory &) = delete;
 
     /** Number of addressable words. */
     uint32_t size() const { return size_words_; }
@@ -199,7 +216,9 @@ class PhysMemory
     }
 
     uint32_t size_words_ = 0;
-    std::vector<uint32_t> words_;
+    void *mapping_ = nullptr;  ///< words plus the guard page
+    size_t mapping_bytes_ = 0;
+    uint32_t *words_ = nullptr; ///< inside mapping_, ending at the guard
     std::string console_;
     uint32_t pending_devices_ = 0; ///< bitmask of requesting devices
     uint64_t cycles_ = 0;

@@ -382,5 +382,82 @@ TEST(FastPathParity, TrapLoopIdenticalStats)
     expectParity(fast, slow);
 }
 
+// ------------------------------------------------------ Profiling
+
+TEST(Profiling, CountsIdenticalFastAndSlow)
+{
+    auto exe = plc::buildExecutable(workload::puzzle0Program().source);
+    ASSERT_TRUE(exe.ok());
+    const Program &p = exe.value().program;
+    Machine fast, slow;
+    fast.cpu().enableProfiling(true);
+    slow.cpu().enableProfiling(true);
+    runProgram(fast, p, true);
+    runProgram(slow, p, false);
+    std::vector<uint64_t> counts = fast.cpu().execCounts(p.origin,
+                                                         p.image.size());
+    EXPECT_EQ(counts, slow.cpu().execCounts(p.origin, p.image.size()));
+    uint64_t total = 0;
+    for (uint64_t c : counts)
+        total += c;
+    EXPECT_EQ(total, fast.cpu().stats().cycles); // no handler code ran
+}
+
+TEST(Profiling, DenseCountsSurviveGrowthMidRun)
+{
+    // The loop body straddles two 1024-word pages, so the dense array
+    // grows (and moves) in the middle of the first iteration.
+    Program p = assembleOrDie(
+        "  ldi #3, r1\n"         // 0
+        "loop: sub r1, #1, r1\n" // 1
+        "  bra far\n"            // 2
+        "  nop\n"                // 3
+        "  .space 1500\n"
+        "far: bgt r1, #0, loop\n" // 1504
+        "  nop\n"                 // 1505
+        "  halt\n");              // 1506
+    ASSERT_EQ(p.symbol("far"), 1504u);
+    for (bool fast_path : {true, false}) {
+        Machine m;
+        m.cpu().enableProfiling(true);
+        runProgram(m, p, fast_path);
+        ASSERT_EQ(m.cpu().stats().cycles, 17u);
+        std::vector<uint64_t> low = m.cpu().execCounts(0, 5);
+        EXPECT_EQ(low, (std::vector<uint64_t>{1, 3, 3, 3, 0}));
+        std::vector<uint64_t> high = m.cpu().execCounts(1504, 4);
+        EXPECT_EQ(high, (std::vector<uint64_t>{3, 3, 1, 0}));
+    }
+}
+
+TEST(Profiling, WildPcBeyondDenseLimitCountedAndResetClears)
+{
+    // An indirect jump far past the dense limit (and past physical
+    // memory): each pass issues the wild PC once, takes an address
+    // error and restarts at the dispatch ROM, i.e. at this program.
+    constexpr uint32_t kWild = Cpu::kProfileDenseLimit + 0x1234;
+    Program p = assembleOrDie(
+        "  ld @target, r5\n"
+        "  nop\n"
+        "  jmp (r5)\n"
+        "  nop\n"
+        "  nop\n"
+        "target: .word " + std::to_string(kWild) + "\n");
+    for (bool fast_path : {true, false}) {
+        Machine m;
+        m.cpu().enableProfiling(true);
+        runProgram(m, p, fast_path, false, 60);
+        uint64_t passes = m.cpu().stats().address_errors;
+        ASSERT_EQ(passes, 10u);
+        EXPECT_EQ(m.cpu().execCount(kWild), passes);
+        EXPECT_EQ(m.cpu().execCount(kWild + 1), 0u);
+        EXPECT_EQ(m.cpu().execCount(2), passes);
+
+        m.cpu().reset(p.origin);
+        EXPECT_EQ(m.cpu().execCount(kWild), 0u);
+        EXPECT_EQ(m.cpu().execCounts(0, 6),
+                  std::vector<uint64_t>(6, 0));
+    }
+}
+
 } // namespace
 } // namespace mips::sim

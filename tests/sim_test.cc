@@ -8,6 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <memory>
+#include <vector>
+
 #include "asm/assembler.h"
 #include "sim/machine.h"
 #include "support/rng.h"
@@ -182,6 +189,153 @@ TEST(Memory, InterruptController)
     EXPECT_EQ(mem.read(src), 7u);
     mem.write(kMmioBase + static_cast<uint32_t>(MmioReg::INT_ACK), 7);
     EXPECT_FALSE(mem.interruptPending());
+}
+
+// ------------------------------------------------------------- Set-up
+//
+// Memory is demand-zero pages and the predecode payloads are raw
+// storage owned by their tags, so a fresh machine must still read all
+// zeros, miss on its first fetch and stay resident only in what it
+// touches.
+
+void
+expectZeroEdges(const PhysMemory &mem)
+{
+    EXPECT_EQ(mem.peek(0), 0u);
+    EXPECT_EQ(mem.peek(mem.size() - 1), 0u);
+    EXPECT_EQ(mem.peek(kMmioBase - 1), 0u);
+    EXPECT_EQ(mem.peek(kMmioBase + kMmioWindowWords), 0u);
+}
+
+TEST(SetUp, FreshMemoryReadsZeroAtTheEdges)
+{
+    Machine m;
+    expectZeroEdges(m.memory());
+    PhysMemory mem;
+    expectZeroEdges(mem);
+    // A size that is not a whole number of pages: the words end flush
+    // against the guard page and the last one is still usable.
+    PhysMemory odd(1000);
+    EXPECT_EQ(odd.peek(999), 0u);
+    odd.write(999, 7);
+    EXPECT_EQ(odd.read(999), 7u);
+}
+
+TEST(SetUp, MachineAfterDirtyMachineReadsZero)
+{
+    {
+        Machine dirty;
+        for (uint32_t a = 0; a < dirty.memory().size(); ++a)
+            dirty.memory().poke(a, a | 0x80000000u);
+    }
+    Machine m;
+    uint32_t nonzero = 0;
+    for (uint32_t a = 0; a < m.memory().size(); ++a)
+        nonzero += m.memory().peek(a) != 0;
+    EXPECT_EQ(nonzero, 0u);
+}
+
+TEST(SetUp, FirstFetchOnFreshCpuIsADecodeMiss)
+{
+    // The CPU starts at address 0 and nothing is loaded, so no store
+    // invalidates a tag: only the tags' initial fill keeps word 0 from
+    // "hitting" whatever the raw payload storage holds.
+    Machine m;
+    m.cpu().step();
+    EXPECT_EQ(m.cpu().decodeCacheMisses(), 1u);
+    EXPECT_EQ(m.cpu().decodeCacheHits(), 0u);
+}
+
+TEST(SetUp, FreshMachinesKeepFastPathParity)
+{
+    // Sums a never-written region and runs a loop, on machines built
+    // after another machine dirtied its memory and predecode cache.
+    Program p = assembleOrDie(
+        "  ldi #200, r1\n"
+        "  ldi #0, r3\n"
+        "loop: ld 8192(r1), r4\n"
+        "  sub r1, #1, r1\n"
+        "  add r3, r4, r3\n"
+        "  bgt r1, #0, loop\n"
+        "  nop\n"
+        "  halt\n");
+    {
+        Machine dirty;
+        dirty.load(p);
+        for (uint32_t a = 8192; a < 8192 + 256; ++a)
+            dirty.memory().poke(a, 3);
+        ASSERT_EQ(dirty.cpu().run(), StopReason::HALT);
+        ASSERT_EQ(dirty.cpu().reg(3), 600u);
+    }
+    Machine fast, slow;
+    slow.cpu().enableFastPath(false);
+    fast.load(p);
+    slow.load(p);
+    ASSERT_EQ(fast.cpu().run(), StopReason::HALT);
+    ASSERT_EQ(slow.cpu().run(), StopReason::HALT);
+    EXPECT_EQ(fast.cpu().reg(3), 0u);
+    EXPECT_TRUE(fast.cpu().stats() == slow.cpu().stats());
+    for (int r = 0; r < isa::kNumRegs; ++r)
+        EXPECT_EQ(fast.cpu().reg(static_cast<isa::Reg>(r)),
+                  slow.cpu().reg(static_cast<isa::Reg>(r)))
+            << "r" << r;
+    EXPECT_GT(fast.cpu().decodeCacheHits(), 0u);
+}
+
+/** Field `field` of /proc/self/statm (0 = address space, 1 =
+ *  resident), in bytes; 0 if it cannot be read. */
+size_t
+statmBytes(int field)
+{
+    unsigned long v[2] = {0, 0};
+    FILE *f = std::fopen("/proc/self/statm", "r");
+    if (f == nullptr)
+        return 0;
+    if (std::fscanf(f, "%lu %lu", &v[0], &v[1]) != 2)
+        v[0] = v[1] = 0;
+    std::fclose(f);
+    return v[field] * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SetUp, IdleMachinesStayOffResidentMemory)
+{
+    // 32 default machines address 128 MB; an eager fill of their
+    // memories would make all of it resident.
+    size_t before = statmBytes(1);
+    ASSERT_GT(before, 0u);
+    std::vector<std::unique_ptr<Machine>> machines;
+    for (int i = 0; i < 32; ++i)
+        machines.push_back(std::make_unique<Machine>());
+    size_t added = statmBytes(1) - before;
+    EXPECT_LT(added, size_t{16} << 20) << added << " bytes";
+}
+
+TEST(SetUpDeathTest, RamOverrunHitsGuardPage)
+{
+    // ram()/ramWrite() skip the bounds check; one word past the end
+    // must fault rather than touch a neighbour's memory.
+    PhysMemory mem(1000);
+    EXPECT_DEATH(
+        {
+            volatile uint32_t sink = mem.ram(mem.size());
+            (void)sink;
+        },
+        "");
+    PhysMemory big;
+    EXPECT_DEATH(big.ramWrite(big.size(), 1), "");
+}
+
+TEST(SetUpDeathTest, FailedMappingPanicsWithSize)
+{
+    // Cap the address space just above what the process already maps,
+    // so the 4 MB memory cannot be mapped.
+    auto construct = [] {
+        rlim_t cap = statmBytes(0) + (rlim_t{1} << 20);
+        struct rlimit rl = {cap, cap};
+        setrlimit(RLIMIT_AS, &rl);
+        PhysMemory mem;
+    };
+    EXPECT_DEATH(construct(), "PhysMemory: cannot map 4198400 bytes");
 }
 
 // ------------------------------------------- Pipeline basic execution
