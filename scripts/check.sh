@@ -213,10 +213,12 @@ if [ "$bench_only" -eq 0 ]; then
     "$build_dir/src/verify/mipsverify" --corpus
 
     # Determinism gate: parallel verification must emit byte-identical
-    # output to a serial run, in text and JSON mode (--no-time drops
-    # the wall-clock fields, which legitimately vary).
+    # output to a serial run, in text and JSON mode and with every
+    # chain stage requested, so every chain stage goes through the
+    # session's cache lookup concurrently (--no-time drops the
+    # wall-clock fields, which legitimately vary).
     mv=$build_dir/src/verify/mipsverify
-    for mode in "" "--json"; do
+    for mode in "" "--json" "--tv --cost --range"; do
         # shellcheck disable=SC2086  # word-splitting is intended
         "$mv" --corpus --no-time --jobs 1 $mode \
             > "$build_dir/verify-serial.out"

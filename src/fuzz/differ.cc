@@ -6,9 +6,7 @@
 #include "obs/catalog.h"
 #include "sim/machine.h"
 #include "support/logging.h"
-#include "verify/cfg.h"
 #include "verify/costmodel.h"
-#include "verify/interproc.h"
 #include "verify/memsafety.h"
 #include "verify/tv.h"
 #include "verify/verify.h"
@@ -153,13 +151,17 @@ runPascalDifferential(pipeline::Session &session,
             baselined.push_back(compiled);
         }
 
+        // A stage that cannot produce its artifact fails the config.
+        auto ran = [&](const char *stage, const auto &got) {
+            if (!got.ok())
+                fail(&result, config.tag, stage, got.error().str());
+            return got.ok();
+        };
+
         if (spec.hazard_verify) {
             auto v = session.hazardVerify(source, o);
-            if (!v.ok()) {
-                fail(&result, config.tag, "hazard-verify",
-                     v.error().str());
+            if (!ran("hazard-verify", v))
                 return result;
-            }
             if (!v.value()->report.clean()) {
                 fail(&result, config.tag, "hazard-verify",
                      strprintf("%zu error(s)",
@@ -170,11 +172,8 @@ runPascalDifferential(pipeline::Session &session,
 
         if (spec.translation_validate) {
             auto tv = session.translationValidate(source, o);
-            if (!tv.ok()) {
-                fail(&result, config.tag, "translation-validate",
-                     tv.error().str());
+            if (!ran("translation-validate", tv))
                 return result;
-            }
             // Strict: a TV090 "not proven" note fails the fuzzer —
             // the generator must only emit provable shapes.
             if (tv.value()->report.errors != 0 ||
@@ -189,11 +188,8 @@ runPascalDifferential(pipeline::Session &session,
 
         if (spec.value_range) {
             auto range = session.valueRange(source, o);
-            if (!range.ok()) {
-                fail(&result, config.tag, "value-range",
-                     range.error().str());
+            if (!ran("value-range", range))
                 return result;
-            }
             if (size_t n = errorCount(range.value()->diags)) {
                 fail(&result, config.tag, "value-range",
                      strprintf("%zu MUST finding(s)", n));
@@ -202,10 +198,8 @@ runPascalDifferential(pipeline::Session &session,
         }
 
         auto sim = session.simulate(source, o);
-        if (!sim.ok()) {
-            fail(&result, config.tag, "simulate", sim.error().str());
+        if (!ran("simulate", sim))
             return result;
-        }
         if (sim.value()->stop != sim::StopReason::HALT) {
             fail(&result, config.tag, "simulate",
                  sim.value()->error.empty()
@@ -223,11 +217,8 @@ runPascalDifferential(pipeline::Session &session,
 
         if (spec.cost_model) {
             auto cost = session.costModel(source, o);
-            if (!cost.ok()) {
-                fail(&result, config.tag, "cost-model",
-                     cost.error().str());
+            if (!ran("cost-model", cost))
                 return result;
-            }
             verify::CostParity parity = verify::checkCostParity(
                 cost.value()->report, sim.value()->exec_counts,
                 options.cost_tolerance);
@@ -281,9 +272,10 @@ runAsmDifferential(pipeline::Session &session,
 
         reorg::ReorgResult rr = reorg::reorganize(input, config.reorg);
 
+        // One analysis of the output serves hazard verify and range.
+        verify::UnitAnalysis analysis(rr.unit);
         verify::VerifyReport vrep =
-            verify::verifyReorganization(input, rr.unit,
-                                         verify::VerifyOptions{});
+            verify::verifyReorganization(input, analysis);
         if (!vrep.clean()) {
             fail(&result, config.tag, "hazard-verify",
                  strprintf("%zu error(s)", vrep.errors));
@@ -303,9 +295,7 @@ runAsmDifferential(pipeline::Session &session,
 
         if (options.value_range) {
             verify::DiagnosticEngine diags(&rr.unit);
-            verify::Cfg cfg = verify::buildCfg(rr.unit, &diags);
-            verify::CallGraph graph = verify::buildCallGraph(cfg);
-            verify::checkMemorySafety(cfg, graph,
+            verify::checkMemorySafety(analysis.cfg, analysis.graph,
                                       verify::RangeCheckOptions{},
                                       program.name, &diags);
             if (size_t n = errorCount(diags.diagnostics())) {

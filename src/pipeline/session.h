@@ -2,41 +2,35 @@
  * @file
  * Pipeline sessions: the toolchain as composable, cached stages.
  *
- * Every multi-step consumer in this repo used to hand-roll the same
- * chain — `plc::compile` → peephole → `reorg::reorganize` → link →
- * verify / translation-validate / simulate — serially and from
- * scratch, once per experiment driver, bench binary, and CLI run. A
- * `Session` models that chain as explicitly-dependent stages
+ * A `Session` models the chain every driver, bench and CLI run needs
  *
  *   Parse → Compile → Assemble → Reorganize → HazardVerify
  *                                → TranslationValidate → Simulate
  *                                → CostModel → ValueRange
  *
- * each returning its artifact through a content-keyed cache (keyed on
- * the source text plus every stage option that can change the
- * artifact), so e.g. the Table 3 and Table 11 drivers compiling the
- * same corpus program share one compile result instead of recompiling
- * it per table. Artifacts are immutable and handed out as
- * `shared_ptr<const T>`; a cache hit is pointer-identical to the cold
- * run that produced it. Errors are cached too: recoverable input
- * failures (bad source) are remembered and replayed, never recomputed.
+ * as stages that return immutable artifacts (`shared_ptr<const T>`)
+ * through content-keyed caches, so e.g. the Table 3 and Table 11
+ * drivers share one compile of the same corpus program. A hit is
+ * pointer-identical to the cold run that produced it. Errors are
+ * cached too: bad input is remembered and replayed, never recomputed.
  *
- * Sessions are thread-safe and built not to serialize each other:
- * every stage cache is split into `kCacheShards` key-hash-indexed
- * shards, each cache-line aligned with its own mutex and condition
- * variable, and completed entries take a lock-free fast path — ready
- * artifacts are immutable, so a hit is an atomic snapshot load plus a
- * `shared_ptr` copy, no lock acquired. Concurrent requests for the
- * same key block on the first computation (per shard) instead of
- * duplicating it; requests for different keys compute in parallel
- * (no lock is ever held while a stage runs). `runAll` fans a corpus
- * out across a work-stealing `BatchRunner` thread pool with
- * deterministic, input-ordered result collection — parallel results
- * are element-wise identical to a serial run.
+ * Every stage runs through one template (session.cc). A stage is
+ * described once: its artifact, its upstream stage, the StageOptions
+ * member that enters its key, and its compute body. Its key is its own
+ * option key followed by its upstream's key, ending in the source
+ * text. A call looks up its own key first; only a miss resolves the
+ * upstream artifact (itself through the cache) and then computes, so a
+ * warm call is one lookup. The upstream is resolved outside the
+ * stage's timer and span: `miss_ms` is the stage's own work. An
+ * upstream error is cached under the downstream key.
  *
- * Per-stage hit/miss counts and miss wall time are recorded in a
- * `PipelineStats`, renderable as a `support::TextTable` for the bench
- * binaries and CLI observability.
+ * Sessions are thread-safe: each stage cache is split into
+ * `kCacheShards` cache-line-aligned shards, a hit is an atomic
+ * snapshot load plus a `shared_ptr` copy with no lock, requests for a
+ * key being computed wait for it instead of duplicating it, and no
+ * lock is held while a stage runs. `runAll` fans a corpus out across
+ * a work-stealing `BatchRunner` pool and collects results in input
+ * order; per-stage counters are kept in a `PipelineStats`.
  */
 #pragma once
 
@@ -179,7 +173,8 @@ struct CostArtifact
 
 /** ValueRange: interval/alignment fixpoint + memory-safety report for
  *  the reorganized unit (verify/memsafety.h). The MS diagnostics land
- *  in `diags`; `report` carries the statistics and stack table. */
+ *  in `diags` (structural VF findings are hazard verify's to report);
+ *  `report` carries the statistics and stack table. */
 struct RangeArtifact
 {
     std::shared_ptr<const ReorgArtifact> reorg;

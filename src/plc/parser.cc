@@ -41,8 +41,22 @@ class Parser
     ExprPtr parseFactor();
     std::vector<ExprPtr> parseArgs();
 
+    /** One open nesting level (see kMaxNestingDepth). */
+    struct Level
+    {
+        explicit Level(Parser *p) : parser(p)
+        {
+            if (++parser->depth_ > kMaxNestingDepth)
+                parser->fail(support::strprintf(
+                    "nesting deeper than %d levels", kMaxNestingDepth));
+        }
+        ~Level() { --parser->depth_; }
+        Parser *parser;
+    };
+
     std::vector<Token> tokens_;
     size_t pos_ = 0;
+    int depth_ = 0;
     Error error_;
 };
 
@@ -268,6 +282,7 @@ Parser::parseArgs()
 StmtPtr
 Parser::parseStmt()
 {
+    Level level(this);
     auto stmt = std::make_unique<Stmt>();
     stmt->line = peek().line;
 
@@ -434,6 +449,7 @@ Parser::parseTerm()
 ExprPtr
 Parser::parseFactor()
 {
+    Level level(this);
     auto expr = std::make_unique<Expr>();
     expr->line = peek().line;
 

@@ -34,6 +34,14 @@
 
 namespace mips::plc {
 
+/**
+ * Deepest nesting the parser accepts, counting every open statement
+ * and factor (literal, variable, call, parenthesised expression or
+ * `not` operand). It bounds the recursion of the parser and of every
+ * pass over the tree; deeper input is a parse error naming the limit.
+ */
+constexpr int kMaxNestingDepth = 256;
+
 /** Parse a whole program (no semantic analysis). */
 support::Result<ProgramAst> parseProgram(std::string_view source);
 

@@ -188,19 +188,6 @@ msSince(Clock::time_point start)
         .count();
 }
 
-/** Fold the translation-validation findings into the hazard report. */
-void
-mergeReport(mips::verify::VerifyReport *into,
-            const mips::verify::VerifyReport &from)
-{
-    into->diagnostics.insert(into->diagnostics.end(),
-                             from.diagnostics.begin(),
-                             from.diagnostics.end());
-    into->errors += from.errors;
-    into->warnings += from.warnings;
-    into->notes += from.notes;
-}
-
 /**
  * Render one unit's report into `out` (unless quiet) and report
  * whether the unit verified clean. Buffering into a string (instead
@@ -255,8 +242,8 @@ costOutput(const CliOptions &cli, const mips::verify::CostReport &report,
     return out;
 }
 
-/** Fold loose diagnostics (the MS findings of a range run) into the
- *  main report's list and severity counters. */
+/** Fold another pass's findings (TV, or the MS findings of a range
+ *  run) into the main report's list and severity counters. */
 void
 mergeDiagnostics(mips::verify::VerifyReport *into,
                  const std::vector<mips::verify::Diagnostic> &diags)
@@ -384,7 +371,7 @@ runCorpus(const CliOptions &cli)
             }
             mips::verify::VerifyReport report = r.verify->report;
             if (cli.tv)
-                mergeReport(&report, r.tv->report);
+                mergeDiagnostics(&report, r.tv->report.diagnostics);
             if (cli.range)
                 mergeDiagnostics(&report, r.range->diags);
             std::string out;
@@ -466,92 +453,75 @@ runFile(const CliOptions &cli)
     const mips::assembler::Unit &unit = parsed.value()->unit;
 
     Clock::time_point start = Clock::now();
-    mips::verify::VerifyReport report;
-    const mips::assembler::Unit *report_unit = &unit;
-    mips::assembler::Unit reorganized;
-    if (cli.reorg) {
-        mips::reorg::ReorgResult result =
-            mips::reorg::reorganize(unit, cli.reorg_options);
-        reorganized = std::move(result.unit);
-        Clock::time_point verify_start = Clock::now();
-        report = mips::verify::verifyReorganization(unit, reorganized,
-                                                    cli.verify);
-        mips::obs::verifyUnitMs().observe(msSince(verify_start));
-        if (cli.tv) {
-            mips::verify::TvOptions tvopts;
-            tvopts.alias = cli.reorg_options.alias;
-            mergeReport(&report,
-                        mips::verify::validateTranslation(
-                            unit, reorganized, result.hints, tvopts));
-        }
-        report_unit = &reorganized;
-    } else {
-        Clock::time_point verify_start = Clock::now();
-        report = mips::verify::verifyUnit(unit, cli.verify);
-        mips::obs::verifyUnitMs().observe(msSince(verify_start));
+    mips::reorg::ReorgResult reorganized;
+    if (cli.reorg)
+        reorganized = mips::reorg::reorganize(unit, cli.reorg_options);
+    const mips::assembler::Unit &report_unit =
+        cli.reorg ? reorganized.unit : unit;
+    // One analysis of the unit that would run on the machine serves
+    // verification and every report below.
+    Clock::time_point verify_start = Clock::now();
+    mips::verify::UnitAnalysis analysis(report_unit);
+    mips::verify::VerifyReport report =
+        cli.reorg ? mips::verify::verifyReorganization(unit, analysis,
+                                                       cli.verify)
+                  : mips::verify::verifyUnit(analysis, cli.verify);
+    mips::obs::verifyUnitMs().observe(msSince(verify_start));
+    if (cli.reorg && cli.tv) {
+        mips::verify::TvOptions tvopts;
+        tvopts.alias = cli.reorg_options.alias;
+        mergeDiagnostics(&report, mips::verify::validateTranslation(
+                                      unit, reorganized.unit,
+                                      reorganized.hints, tvopts)
+                                      .diagnostics);
     }
     // Extra reports print after the verify report; the range findings
     // themselves fold *into* it, so the analysis runs before emit.
     std::string extra_out;
     int oracle_status = -1; // -1 = oracle not requested
-    bool range_needed = cli.range || cli.range_oracle;
-    if (cli.callgraph || cli.cost || range_needed) {
-        // Build over the unit that would run on the machine (the
-        // reorganized one under --reorg). Structural diagnostics were
-        // already reported above; this engine is scratch.
-        mips::verify::DiagnosticEngine scratch(report_unit);
-        mips::verify::Cfg cfg =
-            mips::verify::buildCfg(*report_unit, &scratch);
-        mips::verify::CallGraph graph =
-            mips::verify::buildCallGraph(cfg);
-        if (cli.callgraph) {
-            std::string dot =
-                mips::verify::callGraphDot(graph, cli.file);
-            if (cli.callgraph_out.empty()) {
-                extra_out += dot;
-            } else {
-                std::ofstream dot_out(cli.callgraph_out);
-                if (!dot_out) {
-                    std::fprintf(stderr,
-                                 "mipsverify: cannot write %s\n",
-                                 cli.callgraph_out.c_str());
-                    return 2;
-                }
-                dot_out << dot;
+    if (cli.callgraph) {
+        std::string dot = mips::verify::callGraphDot(analysis.graph, cli.file);
+        if (cli.callgraph_out.empty()) {
+            extra_out += dot;
+        } else {
+            std::ofstream dot_out(cli.callgraph_out);
+            if (!dot_out) {
+                std::fprintf(stderr, "mipsverify: cannot write %s\n",
+                             cli.callgraph_out.c_str());
+                return 2;
             }
+            dot_out << dot;
         }
-        if (cli.cost) {
-            // Static-only in single-file mode: parity needs a whole
-            // program to simulate (--corpus --cost).
-            mips::verify::CostReport cost =
-                mips::verify::computeCostModel(cfg, graph, cli.file);
-            mips::verify::publishCostMetrics(cost);
-            extra_out += costOutput(cli, cost, nullptr);
-        }
-        if (range_needed) {
-            mips::verify::DiagnosticEngine range_diags(report_unit);
-            mips::verify::RangeCheckOptions ropts;
-            ropts.stack_budget = cli.stack_budget;
-            mips::verify::RangeReport range =
-                mips::verify::checkMemorySafety(cfg, graph, ropts,
-                                                cli.file, &range_diags);
-            mips::verify::publishRangeMetrics(range);
-            mergeDiagnostics(&report, range_diags.diagnostics());
-            if (cli.range)
-                extra_out += rangeOutput(cli, range);
-            if (cli.range_oracle) {
-                oracle_status =
-                    runRangeOracle(*report_unit, cli.file,
-                                   range_diags.diagnostics(),
-                                   &extra_out);
-                if (oracle_status == 2)
-                    return 2;
-            }
+    }
+    if (cli.cost) {
+        // Static-only in single-file mode: parity needs a whole
+        // program to simulate (--corpus --cost).
+        mips::verify::CostReport cost = mips::verify::computeCostModel(
+            analysis.cfg, analysis.graph, cli.file);
+        mips::verify::publishCostMetrics(cost);
+        extra_out += costOutput(cli, cost, nullptr);
+    }
+    if (cli.range || cli.range_oracle) {
+        mips::verify::DiagnosticEngine range_diags(&report_unit);
+        mips::verify::RangeCheckOptions ropts;
+        ropts.stack_budget = cli.stack_budget;
+        mips::verify::RangeReport range = mips::verify::checkMemorySafety(
+            analysis.cfg, analysis.graph, ropts, cli.file, &range_diags);
+        mips::verify::publishRangeMetrics(range);
+        mergeDiagnostics(&report, range_diags.diagnostics());
+        if (cli.range)
+            extra_out += rangeOutput(cli, range);
+        if (cli.range_oracle) {
+            oracle_status =
+                runRangeOracle(report_unit, cli.file,
+                               range_diags.diagnostics(), &extra_out);
+            if (oracle_status == 2)
+                return 2;
         }
     }
 
     std::string out;
-    bool clean = emit(cli, std::move(report), *report_unit, cli.file,
+    bool clean = emit(cli, std::move(report), report_unit, cli.file,
                       msSince(start), &out);
     std::fputs(out.c_str(), stdout);
     std::fputs(extra_out.c_str(), stdout);

@@ -41,9 +41,12 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "asm/unit.h"
+#include "verify/cfg.h"
 #include "verify/diagnostics.h"
+#include "verify/interproc.h"
 
 namespace mips::verify {
 
@@ -89,10 +92,30 @@ struct VerifyReport
 };
 
 /**
+ * One unit's CFG, call graph, and the structural (VF*) findings of
+ * buildCfg, built once per unit for every check that needs them; only
+ * hazard verification reports `structural`. Not copyable: `graph`
+ * points into `cfg`, and `cfg` into the unit.
+ */
+struct UnitAnalysis
+{
+    explicit UnitAnalysis(const assembler::Unit &unit);
+    UnitAnalysis(const UnitAnalysis &) = delete;
+    UnitAnalysis &operator=(const UnitAnalysis &) = delete;
+
+    Cfg cfg;
+    CallGraph graph;
+    std::vector<Diagnostic> structural;
+};
+
+/**
  * Statically verify a pipeline-targeted unit against the software
  * interlock contract. The unit may still have symbolic targets
- * (pre-link) or numeric ones (post-link): both resolve.
+ * (pre-link) or numeric ones (post-link): both resolve. The unit
+ * overload analyses it first.
  */
+VerifyReport verifyUnit(const UnitAnalysis &analysis,
+                        const VerifyOptions &options = VerifyOptions{});
 VerifyReport verifyUnit(const assembler::Unit &unit,
                         const VerifyOptions &options = VerifyOptions{});
 
@@ -101,6 +124,10 @@ VerifyReport verifyUnit(const assembler::Unit &unit,
  * the interlock contract (verifyUnit) *and* every `.noreorder` region
  * of `input` must appear in `output` verbatim and in order (HZ005).
  */
+VerifyReport
+verifyReorganization(const assembler::Unit &input,
+                     const UnitAnalysis &output,
+                     const VerifyOptions &options = VerifyOptions{});
 VerifyReport
 verifyReorganization(const assembler::Unit &input,
                      const assembler::Unit &output,

@@ -10,9 +10,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "asm/unit.h"
@@ -175,8 +177,8 @@ TEST(PipelineSession, StatsCountersConsistent)
         EXPECT_EQ(c.misses, n);
         EXPECT_GE(c.miss_ms, 0.0);
     }
-    // Downstream stages resolve their dependencies through the cache,
-    // so compile gets one hit per dependent stage request.
+    // A dependent stage resolves its upstream through the cache on a
+    // miss, so compile and reorganize get one hit per dependent miss.
     uint64_t cold_hits = cold.hits();
     uint64_t cold_misses = cold.misses();
     EXPECT_EQ(cold_misses, 5 * n);
@@ -193,6 +195,165 @@ TEST(PipelineSession, StatsCountersConsistent)
     // After clear() the same request is a miss again.
     ASSERT_TRUE(session.compile(programs[0].source).ok());
     EXPECT_EQ(session.stats().misses(), 1u);
+}
+
+// One stage's counters as (lookups in the obs registry, session hits,
+// session misses).
+struct Touch
+{
+    uint64_t lookups, hits, misses;
+    bool operator==(const Touch &) const = default;
+};
+
+std::vector<Touch>
+touches(const pipeline::Session &session)
+{
+    pipeline::PipelineStats stats = session.stats();
+    std::vector<Touch> out;
+    for (size_t s = 0; s < pipeline::kStageCount; ++s)
+        out.push_back({obs::pipelineStageMetrics(s).lookups->value(),
+                       stats.stage[s].hits, stats.stage[s].misses});
+    return out;
+}
+
+size_t
+idx(pipeline::Stage stage)
+{
+    return static_cast<size_t>(stage);
+}
+
+// A stage looks up its own key first: after a cold chain, each public
+// call is exactly one lookup and one hit on its own stage, and no other
+// stage's counters move (the upstream chain is not walked on a hit).
+TEST(PipelineSession, WarmCallTouchesOnlyItsOwnStage)
+{
+    pipeline::Session session;
+    const char *source = workload::fibonacciProgram().source;
+    pipeline::StageOptions options;
+    std::vector<pipeline::ChainResult> cold = pipeline::runAll(
+        session, {{"fib", source, ""}}, pipeline::fuzzOracleChain(),
+        options, 1);
+    ASSERT_TRUE(cold[0].ok()) << cold[0].error;
+
+    using pipeline::Stage;
+    std::vector<std::pair<Stage, std::function<bool()>>> calls = {
+        {Stage::COMPILE,
+         [&] { return session.compile(source, options).ok(); }},
+        {Stage::REORGANIZE,
+         [&] { return session.reorganize(source, options).ok(); }},
+        {Stage::HAZARD_VERIFY,
+         [&] { return session.hazardVerify(source, options).ok(); }},
+        {Stage::TRANSLATION_VALIDATE,
+         [&] {
+             return session.translationValidate(source, options).ok();
+         }},
+        {Stage::SIMULATE,
+         [&] { return session.simulate(source, options).ok(); }},
+        {Stage::COST_MODEL,
+         [&] { return session.costModel(source, options).ok(); }},
+        {Stage::VALUE_RANGE,
+         [&] { return session.valueRange(source, options).ok(); }},
+    };
+    for (const auto &[stage, call] : calls) {
+        SCOPED_TRACE(pipeline::stageName(stage));
+        std::vector<Touch> want = touches(session);
+        ++want[idx(stage)].lookups;
+        ++want[idx(stage)].hits;
+        ASSERT_TRUE(call());
+        EXPECT_TRUE(touches(session) == want);
+    }
+}
+
+// Upstream stages are resolved only on a miss, and then through the
+// cache: a cold hazardVerify misses HV, reorganize and compile once
+// each; a following costModel misses cost and hits reorganize.
+TEST(PipelineSession, DependenciesResolvedOnlyOnAMiss)
+{
+    pipeline::Session session;
+    const char *source = workload::fibonacciProgram().source;
+    using pipeline::Stage;
+
+    ASSERT_TRUE(session.hazardVerify(source).ok());
+    pipeline::PipelineStats hv = session.stats();
+    for (size_t s = 0; s < pipeline::kStageCount; ++s) {
+        SCOPED_TRACE(pipeline::stageName(static_cast<Stage>(s)));
+        bool on_path = s == idx(Stage::HAZARD_VERIFY) ||
+                       s == idx(Stage::REORGANIZE) ||
+                       s == idx(Stage::COMPILE);
+        EXPECT_EQ(hv.stage[s].misses, on_path ? 1u : 0u);
+        EXPECT_EQ(hv.stage[s].hits, 0u);
+    }
+
+    ASSERT_TRUE(session.costModel(source).ok());
+    pipeline::PipelineStats cost = session.stats();
+    for (size_t s = 0; s < pipeline::kStageCount; ++s) {
+        SCOPED_TRACE(pipeline::stageName(static_cast<Stage>(s)));
+        EXPECT_EQ(cost.stage[s].misses - hv.stage[s].misses,
+                  s == idx(Stage::COST_MODEL) ? 1u : 0u);
+        EXPECT_EQ(cost.stage[s].hits - hv.stage[s].hits,
+                  s == idx(Stage::REORGANIZE) ? 1u : 0u);
+    }
+}
+
+// An upstream error reaches every dependent stage with its text
+// unchanged, and is cached under the dependent stage's own key.
+TEST(PipelineSession, UpstreamErrorCachedUnderDependentKey)
+{
+    pipeline::Session session;
+    const char *bad = "program p; begin x := ; end.";
+    auto compiled = session.compile(bad);
+    ASSERT_FALSE(compiled.ok());
+    const std::string text = compiled.error().str();
+
+    using pipeline::Stage;
+    std::vector<std::pair<Stage, std::function<std::string()>>> calls = {
+        {Stage::HAZARD_VERIFY,
+         [&] { return session.hazardVerify(bad).error().str(); }},
+        {Stage::SIMULATE,
+         [&] { return session.simulate(bad).error().str(); }},
+        {Stage::COST_MODEL,
+         [&] { return session.costModel(bad).error().str(); }},
+        {Stage::VALUE_RANGE,
+         [&] { return session.valueRange(bad).error().str(); }},
+    };
+    for (const auto &[stage, call] : calls) {
+        SCOPED_TRACE(pipeline::stageName(stage));
+        EXPECT_EQ(call(), text);
+        EXPECT_EQ(call(), text);
+        const pipeline::StageCounters &c =
+            session.stats().stage[idx(stage)];
+        EXPECT_EQ(c.misses, 1u);
+        EXPECT_EQ(c.hits, 1u);
+    }
+}
+
+// miss_ms is a stage's own work: a dependent stage resolves its
+// upstream outside its timer, so the per-stage miss times cannot add up
+// to more than the calls took. In a chain the upstream is already
+// cached; a cold leaf-first call computes it inside the leaf's call.
+TEST(PipelineSession, MissTimeIsOwnWork)
+{
+    pipeline::Session chained;
+    double chain_ms = 0;
+    for (const pipeline::ChainResult &r :
+         pipeline::runAll(chained, testCorpus(),
+                          pipeline::fuzzOracleChain(),
+                          pipeline::StageOptions{}, 1)) {
+        ASSERT_TRUE(r.ok()) << r.name << ": " << r.error;
+        chain_ms += r.elapsed_ms;
+    }
+    EXPECT_LE(chained.stats().missMs(), chain_ms);
+
+    pipeline::Session leaf_first;
+    double call_ms = 0;
+    for (const workload::CorpusProgram &program : testCorpus()) {
+        auto start = std::chrono::steady_clock::now();
+        ASSERT_TRUE(leaf_first.valueRange(program.source).ok());
+        call_ms += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    }
+    EXPECT_LE(leaf_first.stats().missMs(), call_ms);
 }
 
 // Recoverable input failures are cached like artifacts: the second

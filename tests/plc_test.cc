@@ -127,6 +127,64 @@ TEST(ParserTest, Errors)
         "program p; begin while do x := 1 end.").ok());
 }
 
+// A program whose parse nests exactly `levels` deep (kMaxNestingDepth
+// counts statements and factors): one body statement assigning a
+// literal, wrapped in `levels - 2` parentheses, nested blocks or `not`s.
+std::string
+nestedParens(int levels)
+{
+    std::string n(static_cast<size_t>(levels - 2), '(');
+    std::string close(n.size(), ')');
+    return "program p; var x: integer; begin x := " + n + "1" + close +
+           " end.";
+}
+
+std::string
+nestedBlocks(int levels)
+{
+    std::string open, close;
+    for (int i = 0; i < levels - 2; ++i) {
+        open += "begin ";
+        close += " end";
+    }
+    return "program p; var x: integer; begin " + open + "x := 1" +
+           close + " end.";
+}
+
+std::string
+nestedNots(int levels)
+{
+    std::string nots;
+    for (int i = 0; i < levels - 2; ++i)
+        nots += "not ";
+    return "program p; var b: boolean; begin b := " + nots + "true end.";
+}
+
+TEST(ParserTest, NestingAtTheLimitCompiles)
+{
+    for (auto shape : {nestedParens, nestedBlocks, nestedNots}) {
+        auto compiled = compile(shape(kMaxNestingDepth));
+        EXPECT_TRUE(compiled.ok()) << compiled.error().str();
+    }
+}
+
+// Deeper input ends in a diagnostic naming the limit, not a stack
+// overflow (20,000 levels used to crash the front end).
+TEST(ParserTest, NestingBeyondTheLimitIsAnError)
+{
+    std::string limit = std::to_string(kMaxNestingDepth);
+    for (auto shape : {nestedParens, nestedBlocks, nestedNots}) {
+        for (int levels : {kMaxNestingDepth + 1, 20'000}) {
+            SCOPED_TRACE(levels);
+            auto ast = parseProgram(shape(levels));
+            ASSERT_FALSE(ast.ok());
+            EXPECT_NE(ast.error().message.find(limit), std::string::npos)
+                << ast.error().str();
+            EXPECT_FALSE(compile(shape(levels)).ok());
+        }
+    }
+}
+
 // --------------------------------------------------------------- Sema
 
 TEST(Sema, ErrorsDetected)

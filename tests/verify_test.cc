@@ -15,6 +15,7 @@
 #include "sim/machine.h"
 #include "verify/cfg.h"
 #include "verify/dataflow.h"
+#include "verify/memsafety.h"
 #include "verify/verify.h"
 #include "workload/corpus.h"
 
@@ -455,6 +456,38 @@ TEST(Golden, Vf003TableLabelIsNotAWordRun)
     VerifyReport report = verifyUnit(u);
     ASSERT_EQ(report.countOf(Code::VF003), 1u) << dump(report, u);
     EXPECT_EQ(find(report, Code::VF003)->severity, Severity::ERROR);
+}
+
+// Structural findings belong to the unit's analysis and are reported
+// once, by hazard verification; the memory-safety pass over the same
+// analysis adds none of them.
+TEST(Golden, StructuralFindingsReportedOnceByHazardVerify)
+{
+    Unit u = parseUnit(
+        "la tab, r2\n"
+        "nop\n"
+        "movi #0, r3\n"
+        "jtab (r2+r3), tab\n"
+        "nop\n"
+        "nop\n"
+        "tab: halt\n"); // an instruction, not a .word run
+    UnitAnalysis analysis(u);
+    ASSERT_EQ(std::count_if(analysis.structural.begin(),
+                            analysis.structural.end(),
+                            [](const Diagnostic &d) {
+                                return d.code == Code::VF003;
+                            }),
+              1);
+
+    VerifyReport report = verifyReorganization(u, analysis);
+    EXPECT_EQ(report.countOf(Code::VF003), 1u) << dump(report, u);
+
+    DiagnosticEngine range(&u);
+    checkMemorySafety(analysis.cfg, analysis.graph, RangeCheckOptions{},
+                      "unit", &range);
+    for (const Diagnostic &d : range.diagnostics())
+        EXPECT_NE(std::string(codeName(d.code)).rfind("VF", 0), 0u)
+            << codeName(d.code);
 }
 
 TEST(Golden, Vf004TableEntryResolvesToData)
