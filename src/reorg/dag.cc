@@ -115,19 +115,12 @@ Dag::Dag(const std::vector<Item> &items, const AliasOptions &alias,
             // before anything (it is the terminator), which the
             // scheduler enforces positionally.
 
-            if (dep)
-                addEdge(i, j);
+            // Each (i, j) pair is visited once, so the edge is new.
+            if (dep) {
+                nodes_[i].succs.push_back(j);
+                ++nodes_[j].pred_count;
+            }
         }
-    }
-}
-
-void
-Dag::addEdge(int from, int to)
-{
-    auto &succs = nodes_[from].succs;
-    if (std::find(succs.begin(), succs.end(), to) == succs.end()) {
-        succs.push_back(to);
-        ++nodes_[to].pred_count;
     }
 }
 

@@ -69,8 +69,6 @@ class Dag
                          const AliasOptions &alias);
 
   private:
-    void addEdge(int from, int to);
-
     std::vector<DagNode> nodes_;
 };
 

@@ -20,7 +20,7 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "asm/unit.h"
@@ -36,24 +36,36 @@ enum class ShadowKind : uint8_t
     INDIRECT, ///< shadow of an indirect jump/call (2 slots)
 };
 
-/** Per-item CFG node. */
+/** Per-item CFG flags, 8 bytes (the edges live in Cfg's CSR
+ *  arrays). */
 struct CfgNode
 {
-    /** Items that can execute on the next cycle. */
-    std::vector<size_t> succs;
-    /** Items that can execute on the previous cycle. */
-    std::vector<size_t> preds;
+    /** Delay shadow this item sits in (for the no-transfer-in-slot
+     *  rule); owner is the transfer word that created the shadow and
+     *  is meaningful only when `shadow` is not NONE. */
+    uint32_t shadow_owner = UINT32_MAX;
+    ShadowKind shadow = ShadowKind::NONE;
     /** The next executed word is statically unknown (call/indirect
      *  target, trap handler, or execution fell off the unit). */
-    bool unknown_succ = false;
+    bool unknown_succ : 1 = false;
     /** Control can arrive here from statically unknown code (the item
      *  is labeled and not every reference is a resolved local branch,
      *  follows a call's delay slots, or follows a trap). */
-    bool unknown_pred = false;
-    /** Delay shadow this item sits in (for the no-transfer-in-slot
-     *  rule); owner is the transfer word that created the shadow. */
-    ShadowKind shadow = ShadowKind::NONE;
-    size_t shadow_owner = kNoItem;
+    bool unknown_pred : 1 = false;
+    /** The item defines at least one label. */
+    bool labeled : 1 = false;
+    /** Some item's label operand names one of this item's labels. */
+    bool label_referenced : 1 = false;
+};
+static_assert(sizeof(CfgNode) == 8);
+
+/** How an item's label operand (`Item::target`) resolved. */
+enum class TargetKind : uint8_t
+{
+    NONE,      ///< the item has no label operand
+    ITEM,      ///< defined at an item of the unit
+    PAST_END,  ///< defined, but past the last item (a trailing label)
+    UNDEFINED, ///< not defined anywhere in the unit
 };
 
 /** One recovered jump table (the successor set of a table dispatch).
@@ -66,18 +78,77 @@ struct JumpTable
     std::vector<size_t> targets;  ///< resolved arm item indices
 };
 
-/** The graph plus label resolution for one unit. */
+/**
+ * The graph plus label resolution for one unit, as flat arrays.
+ *
+ * Edges are CSR (compressed sparse row): item i's successors are
+ * `succ[succ_begin[i] .. succ_begin[i + 1])`, its predecessors
+ * likewise in `pred`/`pred_begin`; every list is sorted and unique,
+ * and the predecessor lists are exactly the inverse of the successor
+ * lists. Every label operand is looked up once, by buildCfg, into
+ * `targets`; analyses read `target()`/`targetKind()` and never
+ * compare label strings.
+ */
 struct Cfg
 {
+    using Edges = std::span<const uint32_t>;
+
+    /** `targets` encodings other than an item index. */
+    static constexpr uint32_t kTargetNone = UINT32_MAX;
+    static constexpr uint32_t kTargetUndefined = UINT32_MAX - 1;
+    static constexpr uint32_t kTargetPastEnd = UINT32_MAX - 2;
+
     const assembler::Unit *unit = nullptr;
-    std::vector<CfgNode> nodes;
-    std::map<std::string, size_t> labels; ///< label -> item index
+    std::vector<CfgNode> nodes;          ///< per-item flags
+    std::vector<uint32_t> succ_begin;    ///< size() + 1 offsets
+    std::vector<uint32_t> succ;          ///< successor items
+    std::vector<uint32_t> pred_begin;    ///< size() + 1 offsets
+    std::vector<uint32_t> pred;          ///< predecessor items
+    /** Per item: the item its label operand names, or one of the
+     *  kTarget* encodings. The first definition of a label wins. */
+    std::vector<uint32_t> targets;
     /** Well-formed jump tables, keyed by the dispatch item's index.
      *  A table dispatch absent from this map could not be recovered
      *  (VF003/VF004) and contributes `unknown_succ` instead. */
     std::map<size_t, JumpTable> tables;
 
     size_t size() const { return nodes.size(); }
+
+    /** Items that can execute on the cycle after item i. */
+    Edges
+    succs(size_t i) const
+    {
+        return {succ.data() + succ_begin[i],
+                succ.data() + succ_begin[i + 1]};
+    }
+
+    /** Items that can execute on the cycle before item i. */
+    Edges
+    preds(size_t i) const
+    {
+        return {pred.data() + pred_begin[i],
+                pred.data() + pred_begin[i + 1]};
+    }
+
+    /** How item i's label operand resolved. */
+    TargetKind
+    targetKind(size_t i) const
+    {
+        switch (targets[i]) {
+          case kTargetNone: return TargetKind::NONE;
+          case kTargetUndefined: return TargetKind::UNDEFINED;
+          case kTargetPastEnd: return TargetKind::PAST_END;
+          default: return TargetKind::ITEM;
+        }
+    }
+
+    /** The item item i's label operand names, or kNoItem when it has
+     *  none or the label is undefined or defined past the end. */
+    size_t
+    target(size_t i) const
+    {
+        return targetKind(i) == TargetKind::ITEM ? targets[i] : kNoItem;
+    }
 };
 
 /**

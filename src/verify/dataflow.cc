@@ -48,7 +48,7 @@ solve(const Cfg &cfg, const DataflowProblem &problem)
             const CfgNode &node = cfg.nodes[i];
             uint16_t edge = meetIdentity(problem.meet);
             if (forward) {
-                for (size_t p : node.preds)
+                for (size_t p : cfg.preds(i))
                     edge = meetOp(problem.meet, edge, sol.out[p]);
                 if (node.unknown_pred) {
                     edge = meetOp(problem.meet, edge,
@@ -56,7 +56,7 @@ solve(const Cfg &cfg, const DataflowProblem &problem)
                                          : problem.boundary);
                 }
             } else {
-                for (size_t s : node.succs)
+                for (size_t s : cfg.succs(i))
                     edge = meetOp(problem.meet, edge, sol.in[s]);
                 if (node.unknown_succ)
                     edge = meetOp(problem.meet, edge, problem.boundary);

@@ -51,8 +51,7 @@ checkLoadDelays(const Cfg &cfg, DiagnosticEngine *diags)
         uint16_t delayed = loadDelayWrites(items[i]);
         if (!delayed)
             continue;
-        const CfgNode &node = cfg.nodes[i];
-        for (size_t s : node.succs) {
+        for (size_t s : cfg.succs(i)) {
             if (items[s].is_data)
                 continue;
             uint16_t stale =
@@ -72,7 +71,7 @@ checkLoadDelays(const Cfg &cfg, DiagnosticEngine *diags)
                     maskNames(stale).c_str(),
                     cfg.unit->origin + static_cast<uint32_t>(i)));
         }
-        if (node.unknown_succ) {
+        if (cfg.nodes[i].unknown_succ) {
             diags->report(
                 Code::HZ006, Severity::WARNING, i,
                 support::strprintf(
@@ -120,8 +119,7 @@ checkTableShadows(const Cfg &cfg, DiagnosticEngine *diags)
     const auto &items = cfg.unit->items;
     for (size_t i = 0; i < cfg.size(); ++i) {
         const CfgNode &node = cfg.nodes[i];
-        if (node.shadow != ShadowKind::INDIRECT || items[i].is_data ||
-            node.shadow_owner == kNoItem)
+        if (node.shadow != ShadowKind::INDIRECT || items[i].is_data)
             continue;
         const Item &owner = items[node.shadow_owner];
         if (owner.is_data || !owner.inst.jump ||

@@ -41,7 +41,7 @@ size_t
 localDefBefore(const Cfg &cfg, size_t i, isa::Reg reg)
 {
     const auto &items = cfg.unit->items;
-    if (!items[i].labels.empty())
+    if (cfg.nodes[i].labeled)
         return kNoItem; // control may land here past any local def
     for (size_t j = i; j-- > 0;) {
         const Item &it = items[j];
@@ -51,7 +51,7 @@ localDefBefore(const Cfg &cfg, size_t i, isa::Reg reg)
             return j;
         if (it.inst.branch || it.inst.jump || it.inst.special)
             return kNoItem;
-        if (!it.labels.empty())
+        if (cfg.nodes[j].labeled)
             return kNoItem;
     }
     return kNoItem;
@@ -89,10 +89,8 @@ resolveCallTarget(const Cfg &cfg, size_t i)
     const Item &item = cfg.unit->items[i];
     const isa::JumpPiece &j = *item.inst.jump;
     if (j.kind == JumpKind::CALL_DIRECT) {
-        if (!item.target.empty()) {
-            auto it = cfg.labels.find(item.target);
-            return it == cfg.labels.end() ? kNoItem : it->second;
-        }
+        if (cfg.targetKind(i) != TargetKind::NONE)
+            return cfg.target(i);
         int64_t index = static_cast<int64_t>(j.target_addr) -
                         cfg.unit->origin;
         if (index < 0 || index >= static_cast<int64_t>(cfg.size()))
@@ -105,10 +103,9 @@ resolveCallTarget(const Cfg &cfg, size_t i)
     const Item &def = cfg.unit->items[d];
     if (!def.inst.mem || def.inst.mem->is_store ||
         def.inst.mem->mode != isa::MemMode::LONG_IMM ||
-        def.inst.mem->rd != j.target_reg || def.target.empty())
+        def.inst.mem->rd != j.target_reg)
         return kNoItem;
-    auto it = cfg.labels.find(def.target);
-    return it == cfg.labels.end() ? kNoItem : it->second;
+    return cfg.target(d);
 }
 
 /** Escape a name for a quoted Graphviz string. */
@@ -137,29 +134,31 @@ dotEscape(const std::string &s)
  */
 struct FuncEdges
 {
+    const Cfg *cfg = nullptr;
     size_t begin = 0, end = 0;
-    /** Per region item: in-region predecessor items. */
-    std::vector<std::vector<size_t>> preds;
     /** Per region item: feeding call's last slot, or kNoItem. */
     std::vector<size_t> resume_from;
 
-    size_t local(size_t item) const { return item - begin; }
+    /** Calls f(p - begin) for each in-region CFG predecessor p of
+     *  region item k, in ascending order. */
+    template <typename F>
+    void
+    forPreds(size_t k, F &&f) const
+    {
+        for (size_t p : cfg->preds(begin + k))
+            if (p >= begin && p < end)
+                f(p - begin);
+    }
 };
 
 FuncEdges
 makeFuncEdges(const CallGraph &g, const FunctionInfo &f)
 {
-    const Cfg &cfg = *g.cfg;
     FuncEdges e;
+    e.cfg = g.cfg;
     e.begin = f.begin;
     e.end = f.end;
-    size_t n = f.end - f.begin;
-    e.preds.resize(n);
-    e.resume_from.assign(n, kNoItem);
-    for (size_t i = f.begin; i < f.end; ++i)
-        for (size_t p : cfg.nodes[i].preds)
-            if (p >= f.begin && p < f.end)
-                e.preds[i - f.begin].push_back(p);
+    e.resume_from.assign(f.end - f.begin, kNoItem);
     for (size_t si : f.sites) {
         const CallSite &s = g.sites[si];
         if (s.resume != kNoItem && s.resume < f.end)
@@ -235,8 +234,7 @@ solveMayDirty(const CallGraph &g, const FunctionInfo &f,
         changed = false;
         for (size_t k = 0; k < n; ++k) {
             uint16_t edge = 0;
-            for (size_t p : e.preds[k])
-                edge |= sol.out[p - f.begin];
+            e.forPreds(k, [&](size_t p) { edge |= sol.out[p]; });
             if (e.resume_from[k] != kNoItem)
                 edge |= sol.out[e.resume_from[k] - f.begin];
             uint16_t after =
@@ -363,8 +361,9 @@ solveStackDelta(const CallGraph &g, const FunctionInfo &f,
             Delta edge;
             if (f.begin + k == f.entry)
                 edge = {Delta::VAL, 0};
-            for (size_t p : e.preds[k])
-                edge = meetDelta(edge, sol.out[p - f.begin]);
+            e.forPreds(k, [&](size_t p) {
+                edge = meetDelta(edge, sol.out[p]);
+            });
             if (e.resume_from[k] != kNoItem &&
                 fix[k].kind != ResumeFix::SKIP) {
                 Delta via = sol.out[e.resume_from[k] - f.begin];
@@ -418,8 +417,7 @@ solveMustWrite(const CallGraph &g, const FunctionInfo &f,
             uint16_t edge = 0xffff;
             if (f.begin + k == entered)
                 edge &= seed;
-            for (size_t p : e.preds[k])
-                edge &= sol.out[p - f.begin];
+            e.forPreds(k, [&](size_t p) { edge &= sol.out[p]; });
             // resume_from: a call defines everything (identity meet)
             uint16_t after = static_cast<uint16_t>(edge | gen[k]);
             if (sol.in[k] != edge || sol.out[k] != after) {
@@ -455,32 +453,30 @@ buildCallGraph(const Cfg &cfg)
         bool indirect;
     };
     std::vector<RawSite> raw;
-    std::set<size_t> address_taken;
-    std::set<std::string> referenced;
+    // Per-item marks: the item's address is taken (a mem operand or a
+    // relocated `.word LABEL` table entry names it), the item returns
+    // (an indirect jump through the link register), and the item
+    // starts a function.
+    enum : uint8_t
+    {
+        kAddressTaken = 1,
+        kReturn = 2,
+        kEntry = 4,
+    };
+    std::vector<uint8_t> marks(n, 0);
     for (size_t i = 0; i < n; ++i) {
         const Item &item = unit.items[i];
-        if (item.is_data) {
-            // A relocated `.word LABEL` table entry both references
-            // its arm and takes its address.
-            if (!item.target.empty()) {
-                referenced.insert(item.target);
-                auto it = cfg.labels.find(item.target);
-                if (it != cfg.labels.end() && it->second != kNoItem)
-                    address_taken.insert(it->second);
-            }
+        if ((item.is_data || item.inst.mem) && cfg.target(i) != kNoItem)
+            marks[cfg.target(i)] |= kAddressTaken;
+        if (item.is_data || !item.inst.jump)
             continue;
-        }
-        if (!item.target.empty()) {
-            referenced.insert(item.target);
-            if (item.inst.mem) {
-                auto it = cfg.labels.find(item.target);
-                if (it != cfg.labels.end() && it->second != kNoItem)
-                    address_taken.insert(it->second);
-            }
-        }
-        if (item.inst.jump && isa::jumpIsCall(item.inst.jump->kind))
+        const isa::JumpPiece &j = *item.inst.jump;
+        if (isa::jumpIsCall(j.kind))
             raw.push_back({i, resolveCallTarget(cfg, i),
-                           isa::jumpIsIndirect(item.inst.jump->kind)});
+                           isa::jumpIsIndirect(j.kind)});
+        else if (j.kind == JumpKind::INDIRECT &&
+                 j.target_reg == isa::kLinkReg)
+            marks[i] |= kReturn;
     }
 
     // Function entries: the unit entry, every provable call target
@@ -491,44 +487,41 @@ buildCallGraph(const Cfg &cfg)
     // reorganizer's retargeted-call labels one word past a real
     // entry — stay inside the containing region as secondary entries;
     // splitting there would sever prologues from their bodies.
-    std::set<size_t> entries;
-    entries.insert(0);
+    marks[0] |= kEntry;
     for (const RawSite &r : raw)
         if (r.target_item != kNoItem &&
             !unit.items[r.target_item].is_data &&
-            cfg.nodes[r.target_item].preds.empty())
-            entries.insert(r.target_item);
-    for (size_t i : address_taken)
-        if (i != 0 && !unit.items[i].is_data &&
-            cfg.nodes[i].preds.empty())
-            entries.insert(i);
-    for (size_t i = 1; i < n; ++i) {
-        const Item &item = unit.items[i];
-        if (item.is_data || item.labels.empty() ||
-            !cfg.nodes[i].preds.empty())
-            continue;
-        bool unreferenced = true;
-        for (const std::string &label : item.labels)
-            if (referenced.count(label))
-                unreferenced = false;
-        if (unreferenced)
-            entries.insert(i);
+            cfg.preds(r.target_item).empty())
+            marks[r.target_item] |= kEntry;
+    size_t fcount = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const CfgNode &node = cfg.nodes[i];
+        bool unreferenced = node.labeled && !node.label_referenced;
+        if (i != 0 && ((marks[i] & kAddressTaken) || unreferenced) &&
+            cfg.preds(i).empty() && !unit.items[i].is_data)
+            marks[i] |= kEntry;
+        if (marks[i] & kEntry)
+            ++fcount;
     }
 
-    // Contiguous regions between entries.
-    std::vector<size_t> sorted(entries.begin(), entries.end());
-    g.functions.resize(sorted.size());
-    for (size_t k = 0; k < sorted.size(); ++k) {
-        FunctionInfo &f = g.functions[k];
-        f.entry = f.begin = sorted[k];
-        f.end = k + 1 < sorted.size() ? sorted[k + 1] : n;
-        f.is_root = f.entry == 0;
-        f.address_taken = address_taken.count(f.entry) > 0;
-        f.entries.push_back(f.entry);
-        const auto &labels = unit.items[f.entry].labels;
-        f.name = labels.empty() ? std::string("<entry>") : labels[0];
-        for (size_t i = f.begin; i < f.end; ++i)
-            g.function_of[i] = k;
+    // Contiguous regions between entries, with their return sites.
+    g.functions.resize(fcount);
+    for (size_t i = 0, k = 0; i < n; ++i) {
+        if (marks[i] & kEntry) {
+            if (k > 0)
+                g.functions[k - 1].end = i;
+            FunctionInfo &f = g.functions[k++];
+            f.entry = f.begin = i;
+            f.end = n;
+            f.is_root = f.entry == 0;
+            f.address_taken = (marks[i] & kAddressTaken) != 0;
+            f.entries.push_back(f.entry);
+            const auto &labels = unit.items[f.entry].labels;
+            f.name = labels.empty() ? std::string("<entry>") : labels[0];
+        }
+        g.function_of[i] = k - 1;
+        if (marks[i] & kReturn)
+            g.functions[k - 1].returns.push_back(i);
     }
 
     // Finalize sites; match return sites (indirect jumps through the
@@ -568,18 +561,10 @@ buildCallGraph(const Cfg &cfg)
         dedup(f.callees);
         dedup(f.callers);
         std::sort(f.entries.begin() + 1, f.entries.end());
-        for (size_t i = f.begin; i < f.end; ++i) {
-            const Item &item = unit.items[i];
-            if (!item.is_data && item.inst.jump &&
-                item.inst.jump->kind == JumpKind::INDIRECT &&
-                item.inst.jump->target_reg == isa::kLinkReg)
-                f.returns.push_back(i);
-        }
     }
 
     // Tarjan SCCs over resolved call edges (iterative; SCCs pop in
     // callee-first order, which is what the cost rollup wants).
-    size_t fcount = g.functions.size();
     std::vector<int> index(fcount, -1), low(fcount, 0);
     std::vector<bool> on_stack(fcount, false);
     std::vector<size_t> stack;
@@ -589,10 +574,11 @@ buildCallGraph(const Cfg &cfg)
         size_t f;
         size_t ci;
     };
+    std::vector<Frame> frames;
     for (size_t f0 = 0; f0 < fcount; ++f0) {
         if (index[f0] != -1)
             continue;
-        std::vector<Frame> frames{{f0, 0}};
+        frames.push_back({f0, 0});
         index[f0] = low[f0] = next_index++;
         stack.push_back(f0);
         on_stack[f0] = true;
@@ -670,7 +656,7 @@ buildCallGraph(const Cfg &cfg)
                 mark(g.function_of[s.resume]);
         }
         for (size_t i = fn.begin; i < fn.end; ++i)
-            for (size_t succ : cfg.nodes[i].succs)
+            for (size_t succ : cfg.succs(i))
                 if (g.function_of[succ] != f)
                     mark(g.function_of[succ]);
     }

@@ -93,7 +93,7 @@ checkUnreachable(const Cfg &cfg, DiagnosticEngine *diags)
     while (!work.empty()) {
         size_t i = work.back();
         work.pop_back();
-        for (size_t s : cfg.nodes[i].succs)
+        for (size_t s : cfg.succs(i))
             push(s);
     }
     const auto &items = cfg.unit->items;

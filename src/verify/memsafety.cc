@@ -169,7 +169,7 @@ solveOwnDepth(const CallGraph &g, const FunctionInfo &f,
             if (std::find(f.entries.begin(), f.entries.end(), i) !=
                 f.entries.end())
                 edge = {SpDelta::VAL, 0};
-            for (size_t p : cfg.nodes[i].preds)
+            for (size_t p : cfg.preds(i))
                 if (p >= f.begin && p < f.end)
                     edge = meetDelta(edge, out[p - f.begin]);
             if (resume_from[k] != kNoItem)
@@ -271,7 +271,7 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
         if (inst.mem && isa::memReferencesMemory(*inst.mem)) {
             const isa::MemPiece &m = *inst.mem;
             ++report.checked_refs;
-            AbsVal addr = memAddressRange(m, item.target, cfg, s);
+            AbsVal addr = memAddressRange(m, i, cfg, s);
             const char *what = m.is_store ? "store" : "load";
 
             if (s.map_enable == Flag::NO) {
@@ -361,7 +361,7 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
                 fetch.mode = MemMode::BASE_INDEX;
                 fetch.base = inst.jump->target_reg;
                 fetch.index = inst.jump->index;
-                AbsVal addr = memAddressRange(fetch, "", cfg, s);
+                AbsVal addr = memAddressRange(fetch, i, cfg, s);
                 int64_t t_lo =
                     static_cast<int64_t>(cfg.unit->origin) +
                     static_cast<int64_t>(ti->second.first_entry);
@@ -460,7 +460,7 @@ checkMemorySafety(const Cfg &cfg, const CallGraph &graph,
                 exit_found = true;
                 break;
             }
-            for (size_t succ : cfg.nodes[i].succs)
+            for (size_t succ : cfg.succs(i))
                 if (!seen[succ] && !must_fault[succ]) {
                     seen[succ] = 1;
                     stack.push_back(succ);

@@ -485,15 +485,16 @@ src2Val(const RegState &s, const isa::Src2 &src2)
     return src2.is_imm ? AbsVal::constant(src2.imm4) : s.regs[src2.reg];
 }
 
-/** Address of a local label, if the unit defines it. */
+/** Address of the local label item i's operand names, if the unit
+ *  defines it at an item. */
 std::optional<AbsVal>
-labelValue(const Cfg &cfg, const std::string &target)
+labelValue(const Cfg &cfg, size_t i)
 {
-    auto it = cfg.labels.find(target);
-    if (it == cfg.labels.end() || it->second == kNoItem)
+    size_t target = cfg.target(i);
+    if (target == kNoItem)
         return std::nullopt;
     return AbsVal::constant(cfg.unit->origin +
-                            static_cast<uint32_t>(it->second));
+                            static_cast<uint32_t>(target));
 }
 
 /** Abstract execution of one item. */
@@ -514,7 +515,7 @@ transferItem(const Cfg &cfg, size_t i, RegState s)
         if (m.mode == MemMode::LONG_IMM) {
             if (item.target.empty())
                 v = AbsVal::constant(static_cast<uint32_t>(m.imm));
-            else if (auto lv = labelValue(cfg, item.target))
+            else if (auto lv = labelValue(cfg, i))
                 v = *lv;
         }
         mem_write = {m.rd, v};
@@ -643,7 +644,7 @@ analyzeValueRanges(const Cfg &cfg, const RangeOptions &options)
         work.erase(work.begin());
         ++a.iterations;
         RegState out = transferItem(cfg, i, a.in[i]);
-        for (size_t succ : cfg.nodes[i].succs)
+        for (size_t succ : cfg.succs(i))
             inject(succ, out);
     }
 
@@ -654,15 +655,15 @@ analyzeValueRanges(const Cfg &cfg, const RangeOptions &options)
 }
 
 AbsVal
-memAddressRange(const MemPiece &piece, const std::string &target,
-                const Cfg &cfg, const RegState &state)
+memAddressRange(const MemPiece &piece, size_t item, const Cfg &cfg,
+                const RegState &state)
 {
     switch (piece.mode) {
       case MemMode::LONG_IMM:
         break; // no memory reference; fall through to the panic
       case MemMode::ABSOLUTE:
-        if (!target.empty()) {
-            if (auto lv = labelValue(cfg, target))
+        if (cfg.targetKind(item) != TargetKind::NONE) {
+            if (auto lv = labelValue(cfg, item))
                 return *lv;
             return AbsVal::top();
         }

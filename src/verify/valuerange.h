@@ -156,12 +156,12 @@ RangeAnalysis analyzeValueRanges(const Cfg &cfg,
 
 /**
  * Abstract effective word address of a memory-referencing piece in
- * `state`, resolving a symbolic operand through the CFG labels (a
- * `la`/absolute reference to a local label is origin + item index).
- * Must not be called for LONG_IMM.
+ * `state`. `item` is the item the piece belongs to: its label operand,
+ * as resolved by the CFG, supplies an absolute reference's address
+ * (origin + the labeled item's index). Must not be called for
+ * LONG_IMM.
  */
-AbsVal memAddressRange(const isa::MemPiece &piece,
-                       const std::string &target, const Cfg &cfg,
-                       const RegState &state);
+AbsVal memAddressRange(const isa::MemPiece &piece, size_t item,
+                       const Cfg &cfg, const RegState &state);
 
 } // namespace mips::verify

@@ -9,6 +9,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asm/assembler.h"
 #include "reorg/dag.h"
 #include "reorg/reorganizer.h"
@@ -67,6 +69,31 @@ TEST(DagTest, RegisterDependences)
     EXPECT_FALSE(dag.hasEdge(1, 3));
     EXPECT_FALSE(dag.hasEdge(2, 3));
     EXPECT_EQ(dag.nodes()[3].pred_count, 0);
+}
+
+TEST(DagTest, FullyDependentBlockHasEachEdgeOnce)
+{
+    // Every pair of `add r1, #1, r1` words depends (RAW, WAR and WAW
+    // at once): one edge per ordered pair, never a duplicate, however
+    // many dependences the pair has.
+    constexpr int kItems = 64;
+    std::string src;
+    for (int i = 0; i < kItems; ++i)
+        src += "add r1, #1, r1\n";
+    Unit u = parseUnit(src);
+    Dag dag(u.items);
+    size_t edges = 0;
+    for (int i = 0; i < kItems; ++i) {
+        std::vector<int> succs = dag.nodes()[i].succs;
+        std::sort(succs.begin(), succs.end());
+        EXPECT_EQ(std::adjacent_find(succs.begin(), succs.end()),
+                  succs.end())
+            << "duplicate successor of node " << i;
+        EXPECT_EQ(succs.size(), static_cast<size_t>(kItems - 1 - i));
+        EXPECT_EQ(dag.nodes()[i].pred_count, i);
+        edges += succs.size();
+    }
+    EXPECT_EQ(edges, static_cast<size_t>(kItems * (kItems - 1) / 2));
 }
 
 TEST(DagTest, LoDependences)
